@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -13,7 +14,6 @@
 #include "obs/json.hpp"
 #include "serve/serve.hpp"
 #include "util/fileio.hpp"
-#include "util/thread_pool.hpp"
 
 int main() {
   using namespace nova;
@@ -33,7 +33,7 @@ int main() {
     }
   }
 
-  const int hw = util::ThreadPool::default_threads();
+  const int hw = static_cast<int>(std::thread::hardware_concurrency());
   std::vector<int> thread_counts{1};
   if (hw >= 2) thread_counts.push_back(2);
   if (hw >= 4) thread_counts.push_back(4);

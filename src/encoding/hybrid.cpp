@@ -1,51 +1,11 @@
 #include "encoding/hybrid.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <map>
-#include <optional>
 #include <set>
-#include <thread>
-#include <tuple>
-
-#include "obs/obs.hpp"
-#include "util/thread_pool.hpp"
 
 namespace nova::encoding {
 
 namespace {
-
-/// Independent RNG stream for restart r: the additive constant walks the
-/// seed far apart per restart and Rng's splitmix64 seeding decorrelates the
-/// streams. Restart 0 never draws from its stream (it is the unperturbed
-/// legacy run).
-uint64_t restart_seed(uint64_t base, int restart) {
-  return base + 0x9e3779b97f4a7c15ULL * static_cast<uint64_t>(restart);
-}
-
-/// Fans fn(0..restarts-1) across the pool with the parent thread's obs
-/// report re-installed in every worker, counting pool activity. fn(i) must
-/// depend only on i; the caller merges by index.
-void run_restarts(int restarts, int threads,
-                  const std::function<void(int)>& fn) {
-  util::ThreadPool pool(threads > 0 ? threads
-                                    : util::ThreadPool::default_threads());
-  obs::Report* parent = obs::current_report();
-  std::atomic<long> offloaded{0};
-  const std::thread::id caller = std::this_thread::get_id();
-  pool.run_indexed(restarts, [&](int r) {
-    // Workers start with no collector; adopt the spawning thread's report
-    // so their counters/spans land in the same run. The calling thread
-    // already has it installed.
-    std::optional<obs::TraceSession> session;
-    if (parent != nullptr && !obs::enabled()) session.emplace(*parent);
-    if (std::this_thread::get_id() != caller) offloaded.fetch_add(1);
-    fn(r);
-  });
-  obs::counter_add("perf.pool.tasks", restarts);
-  obs::counter_add("perf.pool.tasks_offloaded", offloaded.load());
-  obs::counter_add("perf.embed.restarts", restarts);
-}
 
 Encoding pad_encoding(const Encoding& enc, const BitVec& raised) {
   Encoding out = enc;
@@ -119,15 +79,14 @@ Encoding project_code(const Encoding& enc, std::vector<InputConstraint>& sic,
   return out;
 }
 
-namespace {
-
-/// One ihybrid attempt over an already-ordered constraint list. `budget`
-/// (may be null) is this attempt's own cooperative budget: on exhaustion
-/// the remaining constraints are rejected wholesale and the run still
-/// finishes with a complete encoding (anytime behavior).
-HybridResult ihybrid_attempt(const std::vector<InputConstraint>& todo,
-                             int num_states, const HybridOptions& opts,
-                             util::Budget* budget) {
+HybridResult ihybrid_code(const std::vector<InputConstraint>& ics,
+                          int num_states, const HybridOptions& opts) {
+  // Constraints in decreasing weight order (the paper's processing order).
+  std::vector<InputConstraint> todo = ics;
+  std::stable_sort(todo.begin(), todo.end(),
+                   [](const InputConstraint& a, const InputConstraint& b) {
+                     return a.weight > b.weight;
+                   });
   HybridResult res;
   int min_len = min_code_length(num_states);
   res.min_length = min_len;
@@ -137,7 +96,9 @@ HybridResult ihybrid_attempt(const std::vector<InputConstraint>& todo,
   Encoding enc;
   bool have_enc = false;
   for (const auto& ic : todo) {
-    if (!util::budget_ok(budget)) {
+    // Anytime behavior: once the budget is spent the remaining constraints
+    // are rejected wholesale and the run still finishes a valid encoding.
+    if (!util::budget_ok(opts.budget)) {
       res.ric.push_back(ic);
       continue;
     }
@@ -145,7 +106,7 @@ HybridResult ihybrid_attempt(const std::vector<InputConstraint>& todo,
     trial.push_back(ic);
     EmbedOptions eo;
     eo.max_work = opts.max_work;
-    eo.budget = budget;
+    eo.budget = opts.budget;
     EmbedResult er = semiexact_code(trial, num_states, min_len, eo);
     if (er.success) {
       enc = std::move(er.enc);
@@ -160,7 +121,7 @@ HybridResult ihybrid_attempt(const std::vector<InputConstraint>& todo,
     // back to an unconstrained embedding, then to a plain injective code.
     EmbedOptions eo;
     eo.max_work = opts.max_work;
-    eo.budget = budget;
+    eo.budget = opts.budget;
     EmbedResult er = semiexact_code({}, num_states, min_len, eo);
     if (er.success) {
       enc = std::move(er.enc);
@@ -180,63 +141,6 @@ HybridResult ihybrid_attempt(const std::vector<InputConstraint>& todo,
   }
   res.enc = std::move(enc);
   return res;
-}
-
-int ric_weight(const HybridResult& r) {
-  int w = 0;
-  for (const auto& ic : r.ric) w += ic.weight;
-  return w;
-}
-
-}  // namespace
-
-HybridResult ihybrid_code(const std::vector<InputConstraint>& ics,
-                          int num_states, const HybridOptions& opts) {
-  // Constraints in decreasing weight order (the paper's processing order).
-  std::vector<InputConstraint> todo = ics;
-  std::stable_sort(todo.begin(), todo.end(),
-                   [](const InputConstraint& a, const InputConstraint& b) {
-                     return a.weight > b.weight;
-                   });
-  const int restarts = std::max(1, opts.restarts);
-  if (restarts == 1) return ihybrid_attempt(todo, num_states, opts, opts.budget);
-
-  // Deterministic parallel restarts: restart 0 is the unperturbed run
-  // above; restart r > 0 re-shuffles the tie groups of the weight order
-  // with its own RNG stream. Results are merged by (unsatisfied weight,
-  // code length, restart index), so the winner does not depend on the
-  // thread count or scheduling. Each restart charges its own budget fork
-  // so work-limit exhaustion is a pure function of the restart index.
-  std::vector<HybridResult> results(restarts);
-  std::vector<util::Budget> attempt_budgets(
-      opts.budget != nullptr ? restarts : 0);
-  for (auto& b : attempt_budgets) b = opts.budget->fork_attempt();
-  run_restarts(restarts, opts.threads, [&](int r) {
-    util::Budget* bud =
-        attempt_budgets.empty() ? nullptr : &attempt_budgets[r];
-    if (r == 0) {
-      results[0] = ihybrid_attempt(todo, num_states, opts, bud);
-      return;
-    }
-    std::vector<InputConstraint> t = ics;
-    util::Rng rng(restart_seed(opts.seed, r));
-    rng.shuffle(t);
-    std::stable_sort(t.begin(), t.end(),
-                     [](const InputConstraint& a, const InputConstraint& b) {
-                       return a.weight > b.weight;
-                     });
-    results[r] = ihybrid_attempt(t, num_states, opts, bud);
-  });
-  int best = 0;
-  auto key = [&](const HybridResult& h) {
-    return std::make_tuple(ric_weight(h), h.enc.nbits,
-                           static_cast<int>(h.used_random_fallback));
-  };
-  for (int r = 1; r < restarts; ++r) {
-    if (key(results[r]) < key(results[best])) best = r;
-  }
-  if (best != 0) obs::counter_add("perf.embed.restart_improvements");
-  return std::move(results[best]);
 }
 
 namespace {
@@ -261,19 +165,21 @@ std::vector<uint64_t> face_vertices(const Face& f, int k) {
 
 }  // namespace
 
-namespace {
+GreedyResult igreedy_code(const std::vector<InputConstraint>& ics,
+                          int num_states, int nbits) {
+  GreedyOptions go;
+  go.nbits = nbits;
+  return igreedy_code(ics, num_states, go);
+}
 
-/// One igreedy attempt. `perturb` null reproduces the legacy deterministic
-/// ordering; non-null randomizes the tie order among equal-cardinality
-/// constraint sets (the only ordering freedom the algorithm has). `budget`
-/// (may be null) stops constraint-face placement early on exhaustion; the
-/// trailing free-vertex sweep always runs, so every state gets a code.
-GreedyResult igreedy_attempt(const std::vector<InputConstraint>& ics,
-                             int num_states, int nbits, util::Rng* perturb,
-                             util::Budget* budget) {
+GreedyResult igreedy_code(const std::vector<InputConstraint>& ics,
+                          int num_states, const GreedyOptions& opts) {
+  // An exhausted budget stops constraint-face placement early; the
+  // trailing free-vertex sweep always runs, so every state gets a code.
   GreedyResult res;
-  const int k = std::max(nbits == 0 ? min_code_length(num_states) : nbits,
-                         min_code_length(num_states));
+  const int k = std::max(
+      opts.nbits == 0 ? min_code_length(num_states) : opts.nbits,
+      min_code_length(num_states));
   // Closure under intersection; encode from the deepest sets upwards.
   std::set<BitVec> sets;
   for (const auto& ic : ics) {
@@ -281,7 +187,8 @@ GreedyResult igreedy_attempt(const std::vector<InputConstraint>& ics,
     if (c >= 2 && c < num_states) sets.insert(ic.states);
   }
   bool changed = true;
-  while (changed && util::budget_charge(budget, static_cast<long>(sets.size()))) {
+  while (changed &&
+         util::budget_charge(opts.budget, static_cast<long>(sets.size()))) {
     changed = false;
     std::vector<BitVec> cur(sets.begin(), sets.end());
     for (size_t i = 0; i < cur.size(); ++i) {
@@ -292,13 +199,10 @@ GreedyResult igreedy_attempt(const std::vector<InputConstraint>& ics,
     }
   }
   std::vector<BitVec> order(sets.begin(), sets.end());
-  if (perturb != nullptr) perturb->shuffle(order);
+  // Smallest sets first; ties keep the set's BitVec order.
   std::stable_sort(order.begin(), order.end(),
-                   [perturb](const BitVec& a, const BitVec& b) {
-                     if (a.count() != b.count()) return a.count() < b.count();
-                     // Legacy total order; perturbed runs keep the shuffled
-                     // tie order instead.
-                     return perturb == nullptr && a < b;
+                   [](const BitVec& a, const BitVec& b) {
+                     return a.count() < b.count();
                    });
 
   std::vector<int64_t> code(num_states, -1);
@@ -317,7 +221,7 @@ GreedyResult igreedy_attempt(const std::vector<InputConstraint>& ics,
   };
 
   for (const BitVec& s : order) {
-    if (!util::budget_charge(budget)) break;  // final sweep still codes all
+    if (!util::budget_charge(opts.budget)) break;  // final sweep still codes all
     // Supercube of already-coded members.
     std::vector<uint64_t> coded;
     std::vector<int> uncoded;
@@ -452,46 +356,6 @@ GreedyResult igreedy_attempt(const std::vector<InputConstraint>& ics,
     }
   }
   return res;
-}
-
-}  // namespace
-
-GreedyResult igreedy_code(const std::vector<InputConstraint>& ics,
-                          int num_states, int nbits) {
-  return igreedy_attempt(ics, num_states, nbits, nullptr, nullptr);
-}
-
-GreedyResult igreedy_code(const std::vector<InputConstraint>& ics,
-                          int num_states, const GreedyOptions& opts) {
-  const int restarts = std::max(1, opts.restarts);
-  if (restarts == 1)
-    return igreedy_attempt(ics, num_states, opts.nbits, nullptr, opts.budget);
-
-  // Deterministic parallel restarts; see ihybrid_code for the contract.
-  // Merged by (unsatisfied weight, unsatisfied count, restart index).
-  std::vector<GreedyResult> results(restarts);
-  std::vector<util::Budget> attempt_budgets(
-      opts.budget != nullptr ? restarts : 0);
-  for (auto& b : attempt_budgets) b = opts.budget->fork_attempt();
-  run_restarts(restarts, opts.threads, [&](int r) {
-    util::Budget* bud =
-        attempt_budgets.empty() ? nullptr : &attempt_budgets[r];
-    if (r == 0) {
-      results[0] = igreedy_attempt(ics, num_states, opts.nbits, nullptr, bud);
-      return;
-    }
-    util::Rng rng(restart_seed(opts.seed, r));
-    results[r] = igreedy_attempt(ics, num_states, opts.nbits, &rng, bud);
-  });
-  int best = 0;
-  auto key = [&](const GreedyResult& g) {
-    return std::make_tuple(g.weight_unsatisfied, g.unsatisfied);
-  };
-  for (int r = 1; r < restarts; ++r) {
-    if (key(results[r]) < key(results[best])) best = r;
-  }
-  if (best != 0) obs::counter_add("perf.embed.restart_improvements");
-  return std::move(results[best]);
 }
 
 }  // namespace nova::encoding

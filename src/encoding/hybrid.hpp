@@ -5,42 +5,29 @@
 #pragma once
 
 #include "encoding/embed.hpp"
-#include "util/rng.hpp"
 
 namespace nova::encoding {
 
 /// Projection coding step: extends `enc` by one bit so that every
 /// constraint of `sic` stays satisfied and at least one constraint of `ric`
 /// becomes satisfied (Prop. 4.2.1). Newly satisfied constraints are moved
-/// from `ric` to `sic`. `coverings`, when given, restricts the raise sets to
-/// ones that keep those covering constraints satisfied where possible.
+/// from `ric` to `sic`.
 Encoding project_code(const Encoding& enc, std::vector<InputConstraint>& sic,
                       std::vector<InputConstraint>& ric);
 
 struct HybridOptions {
   int nbits = 0;           ///< target code length; 0 = minimum
   long max_work = 20000;   ///< semiexact budget per call (the "max_work")
-  uint64_t seed = 1;       ///< fallback random encoding seed
+  /// Unused: ihybrid is deterministic and its fallback is a sequential
+  /// code. Kept because perfbench's traced pipeline still sets it.
+  uint64_t seed = 1;
   /// Extension over the paper: run the semiexact phase directly at `nbits`
   /// instead of the minimum code length (the paper always starts at the
   /// minimum and projects up). Useful when the caller sweeps code lengths.
   bool start_at_nbits = false;
-  /// Number of embedding attempts. Restart 0 is always the unperturbed
-  /// legacy run; restarts 1..N-1 re-shuffle tie groups of the constraint
-  /// order with independent per-restart RNG streams derived from `seed`.
-  /// The best result wins, ties broken by the lowest restart index, so the
-  /// outcome is identical for every thread count. restarts = 1 (default)
-  /// reproduces the single-attempt behavior bit for bit.
-  int restarts = 1;
-  /// Worker threads for the restart fan-out; 0 = NOVA_THREADS env variable
-  /// (falling back to the hardware concurrency).
-  int threads = 0;
-  /// Optional cooperative budget. Work limits are applied *per restart
-  /// attempt* (each attempt charges its own fork_attempt() child), so a
-  /// given work budget yields byte-identical encodings at any thread
-  /// count; the wall-clock deadline inside it is shared. On exhaustion the
-  /// attempt keeps its constraints accepted so far, rejects the rest, and
-  /// still produces a complete valid encoding. Null = unlimited.
+  /// Optional cooperative budget. On exhaustion the run keeps its
+  /// constraints accepted so far, rejects the rest, and still produces a
+  /// complete valid encoding. Null = unlimited.
   util::Budget* budget = nullptr;
 };
 
@@ -60,16 +47,11 @@ HybridResult ihybrid_code(const std::vector<InputConstraint>& ics,
 
 struct GreedyOptions {
   int nbits = 0;      ///< target code length; 0 = minimum
-  uint64_t seed = 1;  ///< base seed for the restart RNG streams
-  /// Same restart semantics as HybridOptions::restarts: restart 0 is the
-  /// unperturbed legacy run, later restarts randomize constraint-order tie
-  /// breaks, best (lowest weight missed, fewest unsatisfied, lowest restart
-  /// index) wins deterministically for every thread count.
-  int restarts = 1;
-  int threads = 0;    ///< 0 = NOVA_THREADS env / hardware concurrency
-  /// Cooperative budget; same per-attempt fork semantics as
-  /// HybridOptions::budget. An exhausted attempt stops placing constraint
-  /// faces but always completes the encoding (every state gets a code).
+  /// Unused: igreedy is deterministic. Kept because perfbench's traced
+  /// pipeline still sets it.
+  uint64_t seed = 1;
+  /// Cooperative budget. An exhausted run stops placing constraint faces
+  /// but always completes the encoding (every state gets a code).
   util::Budget* budget = nullptr;
 };
 

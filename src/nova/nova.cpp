@@ -247,8 +247,6 @@ NovaResult encode_fsm(const fsm::Fsm& fsm, const NovaOptions& opts) {
           ho.nbits = opts.nbits;
           ho.max_work = opts.max_work;
           ho.seed = opts.seed;
-          ho.restarts = opts.restarts;
-          ho.threads = opts.threads;
           ho.budget = bud;
           auto hr = encoding::ihybrid_code(ics, n, ho);
           res.enc = std::move(hr.enc);
@@ -260,8 +258,6 @@ NovaResult encode_fsm(const fsm::Fsm& fsm, const NovaOptions& opts) {
           encoding::GreedyOptions go;
           go.nbits = opts.nbits;
           go.seed = opts.seed;
-          go.restarts = opts.restarts;
-          go.threads = opts.threads;
           go.budget = bud;
           auto gr = encoding::igreedy_code(ics, n, go);
           res.enc = std::move(gr.enc);
@@ -331,8 +327,8 @@ NovaResult encode_fsm(const fsm::Fsm& fsm, const NovaOptions& opts) {
 
       // --- final: encoded-PLA construction + espresso -------------------
       obs::Span span("nova.final", &res.phases.final_espresso);
-      EvalResult ev = evaluate_encoding(fsm, res.enc, eopts);
-      res.metrics = ev.metrics;
+      res.eval = evaluate_encoding(fsm, res.enc, eopts);
+      res.metrics = res.eval.metrics;
     }
   }
   if (bud != nullptr && bud->exhausted()) {

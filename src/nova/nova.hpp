@@ -71,15 +71,6 @@ struct NovaOptions {
   long max_work = 20000;     ///< embedding work budget per semiexact call
   long exact_work = 500000;  ///< total budget for iexact
   uint64_t seed = 1;
-  /// Embedding restarts for ihybrid/igreedy (see HybridOptions::restarts):
-  /// restart 0 is the unperturbed legacy run, the best result wins with
-  /// ties broken by restart index. 1 = single attempt (bit-identical to
-  /// the pre-restart behavior).
-  int restarts = 1;
-  /// Worker threads for the restart fan-out; 0 = NOVA_THREADS env variable
-  /// (falling back to the hardware concurrency). Any value yields the same
-  /// encoding for a given (seed, restarts).
-  int threads = 0;
   /// Apply the satisfaction-directed polish pass after ihybrid/igreedy.
   bool polish = false;
   /// Collect a full obs::Report (spans + counters) for this run; defaults
@@ -89,10 +80,8 @@ struct NovaOptions {
   /// Optional cooperative budget threaded through every phase (constraint
   /// extraction, embedding, final espresso). On exhaustion the run does
   /// not fail: each phase returns its best-so-far result and the final
-  /// evaluation degrades minimization quality only. Work limits are
-  /// charged per restart attempt (deterministic at any thread count);
-  /// the deadline is shared. Null = unlimited, bit-identical to the
-  /// pre-budget pipeline. See docs/ROBUSTNESS.md.
+  /// evaluation degrades minimization quality only. Null = unlimited,
+  /// bit-identical to the pre-budget pipeline. See docs/ROBUSTNESS.md.
   util::Budget* budget = nullptr;
   logic::EspressoOptions espresso;
 };
@@ -113,6 +102,9 @@ struct NovaResult {
   bool budget_exhausted = false;
   Encoding enc;
   PlaMetrics metrics;
+  /// The encoded PLA and its final minimized cover, the one `metrics`
+  /// describes; verification checks this cover. Empty when !success.
+  EvalResult eval;
   int constraints_total = 0;
   int constraints_satisfied = 0;
   int weight_satisfied = 0;

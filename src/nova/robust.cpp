@@ -50,8 +50,8 @@ NovaResult sequential_result(const fsm::Fsm& fsm, const NovaOptions& opts) {
   for (int i = 0; i < n; ++i) res.enc.codes[i] = static_cast<uint64_t>(i);
   logic::EspressoOptions eopts = opts.espresso;
   eopts.budget = opts.budget;
-  EvalResult ev = evaluate_encoding(fsm, res.enc, eopts);
-  res.metrics = ev.metrics;
+  res.eval = evaluate_encoding(fsm, res.enc, eopts);
+  res.metrics = res.eval.metrics;
   if (opts.budget != nullptr && opts.budget->exhausted())
     res.budget_exhausted = true;
   return res;
@@ -129,7 +129,7 @@ util::Outcome<RobustResult> encode_fsm_robust(const fsm::Fsm& fsm,
         continue;
       }
       check::fault::point("driver.verify", base.budget);
-      VerifyResult vr = verify_encoding(fsm, nr.enc, ropts.verify);
+      VerifyResult vr = verify_encoding(fsm, nr.enc, nr.eval, ropts.verify);
       if (!vr.equivalent) {
         obs::counter_add("robust.verify_failures");
         fail_rung(algo, "verification failed: " + vr.detail);
@@ -163,7 +163,7 @@ util::Outcome<RobustResult> encode_fsm_robust(const fsm::Fsm& fsm,
       obs::counter_add("robust.sequential_fallback");
       NovaResult nr = sequential_result(fsm, base);
       check::fault::point("driver.verify", base.budget);
-      VerifyResult vr = verify_encoding(fsm, nr.enc, ropts.verify);
+      VerifyResult vr = verify_encoding(fsm, nr.enc, nr.eval, ropts.verify);
       if (!vr.equivalent) {
         obs::counter_add("robust.verify_failures");
         fail_rung(Algorithm::kRandom, "sequential verification failed: " +

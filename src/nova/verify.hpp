@@ -31,7 +31,9 @@ VerifyResult verify_encoding(const fsm::Fsm& fsm, const Encoding& enc,
                              const EvalResult& ev,
                              const VerifyOptions& opts = {});
 
-/// Convenience: builds the evaluation internally.
+/// Convenience for callers without an evaluation: minimizes the encoded
+/// PLA again with default, unbudgeted espresso options and checks that
+/// cover. Prefer the overload above to check the cover that was reported.
 VerifyResult verify_encoding(const fsm::Fsm& fsm, const Encoding& enc,
                              const VerifyOptions& opts = {});
 

@@ -10,8 +10,9 @@
 //
 // Determinism contract: with only a work-unit limit set, exhaustion points
 // are a pure function of the charge sequence, so results are reproducible
-// across machines and thread counts (restart fan-outs give every attempt
-// its own fork_attempt() child so no cross-thread counter races exist).
+// across machines and thread counts (the batch server gives every job
+// attempt its own fork_attempt() child so no cross-thread counter races
+// exist).
 // Deadline- and cancellation-driven exhaustion is inherently timing
 // dependent; the *validity* of the result is guaranteed either way, only
 // its quality varies. See docs/ROBUSTNESS.md.
@@ -152,10 +153,11 @@ class Budget {
   long work_limit() const { return work_limit_; }
   long alloc_used() const { return alloc_used_; }
 
-  /// Child budget for one restart attempt of a deterministic fan-out: same
-  /// deadline and the full work/alloc limits, fresh counters. Each attempt
-  /// charging its own child keeps work exhaustion a pure function of the
-  /// attempt index -- byte-identical results at any thread count.
+  /// Child budget for one attempt of a deterministic fan-out (one batch
+  /// job attempt): same deadline and the full work/alloc limits, fresh
+  /// counters. Each attempt charging its own child keeps work exhaustion a
+  /// pure function of the attempt -- byte-identical results at any thread
+  /// count.
   Budget fork_attempt() const {
     Budget b;
     b.has_deadline_ = has_deadline_;

@@ -1,22 +1,21 @@
 // Minimal deterministic fork-join helper for fanning independent, indexed
-// tasks (e.g. embedding restarts) across cores.
+// tasks (the batch server's worker loops) across cores.
 //
 // Determinism contract: run_indexed(count, fn) calls fn(0), ..., fn(count-1)
 // exactly once each; which OS thread runs which index is scheduling-
 // dependent, so callers MUST make fn(i) depend only on i (per-index RNG
 // streams, no shared mutable state) and merge results by index afterwards.
 // Under that discipline any thread count -- including 1 -- produces
-// identical results; see docs/PERFORMANCE.md.
+// identical results.
 //
 // Workers are spawned per call rather than kept in a persistent pool: the
-// intended granularity is a handful of millisecond-scale restarts per
-// encode, where thread creation cost is noise and a condition-variable
+// intended granularity is one long-running task per worker (serve's
+// run_batch), where thread creation cost is noise and a condition-variable
 // dispatch loop would only add failure modes.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <exception>
 #include <functional>
 #include <mutex>
@@ -71,21 +70,6 @@ class ThreadPool {
       drain();
     }
     if (first_error) std::rethrow_exception(first_error);
-  }
-
-  /// Thread count requested by the NOVA_THREADS environment variable, or
-  /// the hardware concurrency when unset/invalid (1 when even that is
-  /// unknown). Read once per process.
-  static int default_threads() {
-    static const int n = [] {
-      if (const char* v = std::getenv("NOVA_THREADS")) {
-        int parsed = std::atoi(v);
-        if (parsed >= 1) return parsed;
-      }
-      unsigned hc = std::thread::hardware_concurrency();
-      return hc > 0 ? static_cast<int>(hc) : 1;
-    }();
-    return n;
   }
 
  private:

@@ -124,3 +124,19 @@ TEST(FaultSweep, NoFaultMeansOkPassThrough) {
   ASSERT_TRUE(outcome.ok()) << outcome.detail;
   EXPECT_EQ(outcome.value.downgrades, 0);
 }
+
+TEST(FaultSweep, VerificationChecksTheReportedCoverWithoutReevaluating) {
+  // Each rung evaluates its encoded PLA exactly once and verification
+  // checks that cover, so a fault armed at the second evaluation never
+  // fires on a clean first rung.
+  Armed a("driver.evaluate:2:error");
+  fsm::Fsm f = bench_data::load_benchmark("lion");
+  auto outcome = driver::encode_fsm_robust(f, driver::NovaOptions{},
+                                           driver::RobustOptions{
+                                               .verify = {},
+                                               .allow_downgrade = true,
+                                               .budget_from_env = false});
+  ASSERT_TRUE(outcome.ok()) << outcome.detail;
+  EXPECT_EQ(outcome.value.downgrades, 0);
+  EXPECT_TRUE(outcome.value.verified);
+}

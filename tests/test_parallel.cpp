@@ -1,48 +1,15 @@
-// Determinism of the parallel embedding restarts and the fork-join pool
-// underneath them: any thread count (1, 2, 8, and the implicit default)
-// must produce byte-identical encodings for the same (seed, restarts), and
-// restarts = 1 must reproduce the single-attempt legacy results exactly.
+// The fork-join pool behind the batch server: every index runs exactly
+// once on any thread count, and task exceptions surface on the caller
+// after the join.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <stdexcept>
 #include <vector>
 
-#include "encoding/hybrid.hpp"
-#include "util/budget.hpp"
-#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
-using namespace nova;
-using namespace nova::encoding;
-using nova::util::Rng;
 using nova::util::ThreadPool;
-
-namespace {
-
-/// Deterministic synthetic constraint set: random subsets of 2..6 states
-/// with weights 1..6 -- enough conflict pressure that different restart
-/// perturbations genuinely produce different embeddings.
-std::vector<InputConstraint> synthetic_constraints(int num_states,
-                                                   int count, uint64_t seed) {
-  Rng rng(seed);
-  std::vector<InputConstraint> ics;
-  for (int i = 0; i < count; ++i) {
-    util::BitVec s(num_states);
-    int card = 2 + rng.uniform(5);
-    while (s.count() < card) s.set(rng.uniform(num_states));
-    ics.push_back({s, 1 + rng.uniform(6)});
-  }
-  return ics;
-}
-
-int ric_weight(const HybridResult& r) {
-  int w = 0;
-  for (const auto& ic : r.ric) w += ic.weight;
-  return w;
-}
-
-}  // namespace
 
 TEST(ThreadPool, RunsEveryIndexExactlyOnce) {
   for (int threads : {1, 3, 8}) {
@@ -101,149 +68,5 @@ TEST(ThreadPool, FirstThrownExceptionWinsOnSingleThread) {
     FAIL() << "expected a throw";
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "five");
-  }
-}
-
-TEST(ThreadPool, DefaultThreadsIsPositive) {
-  EXPECT_GE(ThreadPool::default_threads(), 1);
-}
-
-TEST(ParallelRestarts, IHybridIdenticalAcrossThreadCounts) {
-  auto ics = synthetic_constraints(24, 18, 42);
-  HybridOptions base;
-  base.restarts = 6;
-  base.threads = 1;
-  HybridResult want = ihybrid_code(ics, 24, base);
-  for (int threads : {2, 8}) {
-    HybridOptions ho = base;
-    ho.threads = threads;
-    HybridResult got = ihybrid_code(ics, 24, ho);
-    EXPECT_EQ(got.enc.nbits, want.enc.nbits) << "threads=" << threads;
-    EXPECT_EQ(got.enc.codes, want.enc.codes) << "threads=" << threads;
-    EXPECT_EQ(got.clength_all, want.clength_all) << "threads=" << threads;
-    EXPECT_EQ(ric_weight(got), ric_weight(want)) << "threads=" << threads;
-  }
-}
-
-TEST(ParallelRestarts, IHybridSingleRestartMatchesLegacy) {
-  auto ics = synthetic_constraints(20, 14, 7);
-  HybridResult legacy = ihybrid_code(ics, 20, HybridOptions{});
-  HybridOptions ho;
-  ho.restarts = 1;
-  ho.threads = 8;  // must not matter: one attempt is never farmed out
-  HybridResult got = ihybrid_code(ics, 20, ho);
-  EXPECT_EQ(got.enc.nbits, legacy.enc.nbits);
-  EXPECT_EQ(got.enc.codes, legacy.enc.codes);
-  EXPECT_EQ(got.clength_all, legacy.clength_all);
-}
-
-TEST(ParallelRestarts, IHybridRestartsNeverWorseThanLegacy) {
-  // Restart 0 is the unperturbed legacy attempt and ties break toward it,
-  // so the merged best can only improve on the single-attempt cost.
-  for (uint64_t seed : {3u, 11u, 29u}) {
-    auto ics = synthetic_constraints(22, 16, seed);
-    HybridResult legacy = ihybrid_code(ics, 22, HybridOptions{});
-    HybridOptions ho;
-    ho.restarts = 8;
-    HybridResult multi = ihybrid_code(ics, 22, ho);
-    EXPECT_LE(ric_weight(multi), ric_weight(legacy)) << "seed=" << seed;
-  }
-}
-
-TEST(ParallelRestarts, IGreedyIdenticalAcrossThreadCounts) {
-  auto ics = synthetic_constraints(24, 18, 57);
-  GreedyOptions base;
-  base.restarts = 6;
-  base.threads = 1;
-  GreedyResult want = igreedy_code(ics, 24, base);
-  for (int threads : {2, 8}) {
-    GreedyOptions go = base;
-    go.threads = threads;
-    GreedyResult got = igreedy_code(ics, 24, go);
-    EXPECT_EQ(got.enc.nbits, want.enc.nbits) << "threads=" << threads;
-    EXPECT_EQ(got.enc.codes, want.enc.codes) << "threads=" << threads;
-    EXPECT_EQ(got.unsatisfied, want.unsatisfied) << "threads=" << threads;
-    EXPECT_EQ(got.weight_unsatisfied, want.weight_unsatisfied)
-        << "threads=" << threads;
-  }
-}
-
-TEST(ParallelRestarts, IGreedySingleRestartMatchesLegacy) {
-  auto ics = synthetic_constraints(20, 14, 91);
-  GreedyResult legacy = igreedy_code(ics, 20, 0);
-  GreedyOptions go;
-  go.restarts = 1;
-  go.threads = 8;
-  GreedyResult got = igreedy_code(ics, 20, go);
-  EXPECT_EQ(got.enc.nbits, legacy.enc.nbits);
-  EXPECT_EQ(got.enc.codes, legacy.enc.codes);
-  EXPECT_EQ(got.unsatisfied, legacy.unsatisfied);
-}
-
-TEST(ParallelRestarts, IHybridWorkBudgetIdenticalAcrossThreadCounts) {
-  // Work budgets are charged per restart attempt (Budget::fork_attempt),
-  // so exhaustion points depend only on the attempt index -- the same
-  // limit must yield byte-identical encodings at 1, 2 and 8 threads.
-  auto ics = synthetic_constraints(24, 18, 42);
-  for (long limit : {50L, 500L, 5000L}) {
-    nova::util::Budget ref_budget;
-    ref_budget.set_work_limit(limit);
-    HybridOptions base;
-    base.restarts = 6;
-    base.threads = 1;
-    base.budget = &ref_budget;
-    HybridResult want = ihybrid_code(ics, 24, base);
-    for (int threads : {2, 8}) {
-      nova::util::Budget bud;
-      bud.set_work_limit(limit);
-      HybridOptions ho = base;
-      ho.threads = threads;
-      ho.budget = &bud;
-      HybridResult got = ihybrid_code(ics, 24, ho);
-      EXPECT_EQ(got.enc.nbits, want.enc.nbits)
-          << "limit=" << limit << " threads=" << threads;
-      EXPECT_EQ(got.enc.codes, want.enc.codes)
-          << "limit=" << limit << " threads=" << threads;
-    }
-  }
-}
-
-TEST(ParallelRestarts, IGreedyWorkBudgetIdenticalAcrossThreadCounts) {
-  auto ics = synthetic_constraints(24, 18, 57);
-  for (long limit : {50L, 1000L}) {
-    nova::util::Budget ref_budget;
-    ref_budget.set_work_limit(limit);
-    GreedyOptions base;
-    base.restarts = 6;
-    base.threads = 1;
-    base.budget = &ref_budget;
-    GreedyResult want = igreedy_code(ics, 24, base);
-    for (int threads : {2, 8}) {
-      nova::util::Budget bud;
-      bud.set_work_limit(limit);
-      GreedyOptions go = base;
-      go.threads = threads;
-      go.budget = &bud;
-      GreedyResult got = igreedy_code(ics, 24, go);
-      EXPECT_EQ(got.enc.nbits, want.enc.nbits)
-          << "limit=" << limit << " threads=" << threads;
-      EXPECT_EQ(got.enc.codes, want.enc.codes)
-          << "limit=" << limit << " threads=" << threads;
-    }
-  }
-}
-
-TEST(ParallelRestarts, IGreedyRestartsNeverWorseThanLegacy) {
-  for (uint64_t seed : {13u, 47u, 83u}) {
-    auto ics = synthetic_constraints(22, 16, seed);
-    GreedyResult legacy = igreedy_code(ics, 22, 0);
-    GreedyOptions go;
-    go.restarts = 8;
-    GreedyResult multi = igreedy_code(ics, 22, go);
-    EXPECT_LE(multi.weight_unsatisfied, legacy.weight_unsatisfied)
-        << "seed=" << seed;
-    if (multi.weight_unsatisfied == legacy.weight_unsatisfied) {
-      EXPECT_LE(multi.unsatisfied, legacy.unsatisfied) << "seed=" << seed;
-    }
   }
 }
